@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race race-core chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-wire bench-migrate bench-optimistic bench-sessions bench-obs
+.PHONY: ci vet build test race race-core soak chaos mesh metrics timeline wire optimistic service obs fuzz-smoke bench-smoke bench bench-parallel bench-migrate bench-optimistic bench-sessions bench-obs
 
-ci: vet build test race race-core chaos mesh metrics timeline wire optimistic service obs bench-smoke
+ci: vet build test race race-core soak chaos mesh metrics timeline wire optimistic service obs bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,12 @@ race:
 race-core:
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/core/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/core/...
+
+# The flake gate: twenty race-detector runs of every package whose
+# tests drive real connections, sessions or concurrent tenants, so a
+# test that races its own setup fails here rather than once in a while.
+soak:
+	$(GO) test -race -count=20 ./internal/node/ ./internal/mesh/ ./internal/resilience/ ./internal/service/ ./internal/snapshot/
 
 # The seeded chaos suite: Table-1 workloads under injected WAN faults
 # must produce results identical to the fault-free run, under the race
@@ -57,11 +63,11 @@ timeline:
 	$(GO) test -count=1 -run 'TestTimelineChaos' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestDriveFanoutZeroAlloc' ./internal/event/
 
-# The wire gate: the zero-copy hot path's allocation guards (encode,
-# decode and queue scan must stay at 0 allocs/op steady-state), the
-# codec microbenchmarks, the cross-node stress tests under the race
-# detector, and a fuzz smoke pass over the frame parser and batch
-# codec.
+# The wire gate: the binary codec's allocation guards (encode, decode
+# and queue scan must stay at 0 allocs/op steady-state), the codec
+# microbenchmarks, the cross-node stress tests under the race detector
+# (including the check that only batch frames follow the handshake),
+# and a fuzz smoke pass over the frame parser and batch codec.
 wire:
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes' ./internal/channel/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc' ./internal/event/
@@ -72,7 +78,7 @@ wire:
 
 # A few seconds of fuzzing per target: the frame parser on hostile
 # streams, the batch decoder on arbitrary payloads, and the
-# encode/decode round trip across the gob-fallback boundary.
+# encode/decode round trip with signal and registered values mixed.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/
@@ -123,11 +129,6 @@ obs:
 # digest deviates from its isolated reference — the BENCH_6 artifact.
 bench-sessions:
 	$(GO) run ./cmd/piabench -exp sessions -json BENCH_6.json
-
-# The wire-codec ablation: coalesced remote legs, gob fallback vs
-# zero-copy binary, with codec allocs/op — the BENCH_3 artifact.
-bench-wire:
-	$(GO) run ./cmd/piabench -exp wire -json BENCH_3.json
 
 # One iteration of the headline benchmarks, as a smoke test that the
 # Table 1 experiments still run end to end (including the coalesced

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	pia "repro"
-	"repro/internal/channel"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/vtime"
@@ -103,8 +102,7 @@ func startReporter() {
 }
 
 func main() {
-	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, coalesce, wire, parallel, optimistic, migrate, sessions, obs, fig1..fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
-	wireGob := flag.Bool("wire-gob", false, "force the gob fallback wire codec on every batch entry (the pre-zero-copy format)")
+	exp := flag.String("exp", "table1", "experiment to run (table1, chaos, timeline, coalesce, parallel, optimistic, migrate, sessions, obs, fig1..fig6, runlevel, policy, checkpoint, incremental, snapshot, memsync, all)")
 	pageKB := flag.Int("page", 66, "page size in KB for WubbleU experiments")
 	flag.StringVar(&jsonOut, "json", "", "write Table 1 (or -exp parallel) results to this file as JSON (e.g. BENCH_1.json)")
 	flag.Int64Var(&chaosSeed, "seed", 1, "fault-schedule seed for -exp chaos")
@@ -115,7 +113,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment to this file")
 	flag.StringVar(&timelineOut, "timeline", "", "write the merged canonical Perfetto timeline of the chaos run to this file (with -exp chaos or -exp timeline)")
 	flag.Parse()
-	channel.SetForceGob(*wireGob)
 	startReporter()
 
 	if *cpuProfile != "" {
@@ -150,7 +147,6 @@ func main() {
 		"chaos":       chaos,
 		"timeline":    timelineExp,
 		"coalesce":    coalesce,
-		"wire":        wireExp,
 		"parallel":    parallel,
 		"optimistic":  optimisticExp,
 		"migrate":     migrateExp,
@@ -325,85 +321,6 @@ func coalesce(pageKB int) error {
 			float64(off.FramesOut)/float64(on.FramesOut), off.Wall, on.Wall)
 	}
 	return writeJSON(cfg, []experiments.Table1Row{off, on})
-}
-
-// wireExp runs the wire-codec ablation: the coalesced remote
-// workload at word and packet level, gob fallback vs zero-copy binary
-// codec, on identical workloads — plus the codec microbench
-// (allocations per batch encoded/decoded with recycled buffers).
-func wireExp(pageKB int) error {
-	fmt.Printf("Wire codec ablation: coalesced remote legs, %d KB page, gob fallback vs zero-copy\n\n", pageKB)
-	cfg := experiments.Table1Config{PageSize: pageKB * 1024, Images: 4}
-	rows, err := experiments.WireAblation(cfg)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "Detail level\tcodec\tsimulation time\tlink drives\twire frames\twire bytes\tbytes/frame\tenc allocs/op\tdec allocs/op")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%v\t%d\t%d\t%d\t%.1f\t%.2f\t%.2f\n",
-			r.Level, r.Codec, r.Wall, r.Drives, r.FramesOut, r.WireBytesOut, r.BytesPerFrame, r.EncodeAllocs, r.DecodeAllocs)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		gob, zc := rows[i], rows[i+1]
-		if zc.Wall > 0 {
-			fmt.Printf("\n%s: wall %v -> %v (%.2fx), virtual results bit-identical\n",
-				gob.Level, gob.Wall, zc.Wall, float64(gob.Wall)/float64(zc.Wall))
-		}
-	}
-	return writeWireJSON(cfg, rows)
-}
-
-// wireRow is the machine-readable form of one wire-ablation leg.
-type wireRow struct {
-	Level             string  `json:"level"`
-	Codec             string  `json:"codec"`
-	WallNS            int64   `json:"wall_ns"`
-	VirtualNS         int64   `json:"virtual_ns"`
-	LinkDrives        int     `json:"link_drives"`
-	FramesOut         int64   `json:"frames_out"`
-	WireBytesOut      int64   `json:"wire_bytes_out"`
-	BytesPerFrame     float64 `json:"bytes_per_frame"`
-	EncodeAllocsPerOp float64 `json:"encode_allocs_per_op"`
-	DecodeAllocsPerOp float64 `json:"decode_allocs_per_op"`
-}
-
-func writeWireJSON(cfg experiments.Table1Config, rows []experiments.WireRow) error {
-	if jsonOut == "" {
-		return nil
-	}
-	out := struct {
-		Experiment string    `json:"experiment"`
-		PageBytes  int       `json:"page_bytes"`
-		Images     int       `json:"images"`
-		Rows       []wireRow `json:"rows"`
-	}{Experiment: "wire", PageBytes: cfg.PageSize, Images: cfg.Images}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, wireRow{
-			Level:             r.Level,
-			Codec:             r.Codec,
-			WallNS:            r.Wall.Nanoseconds(),
-			VirtualNS:         int64(r.Virt),
-			LinkDrives:        r.Drives,
-			FramesOut:         r.FramesOut,
-			WireBytesOut:      r.WireBytesOut,
-			BytesPerFrame:     r.BytesPerFrame,
-			EncodeAllocsPerOp: r.EncodeAllocs,
-			DecodeAllocsPerOp: r.DecodeAllocs,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonOut)
-	return nil
 }
 
 // parallel sweeps the safe-horizon worker pool over a fan-out

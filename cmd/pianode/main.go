@@ -55,7 +55,6 @@ func main() {
 	coalesceMsgs := flag.Int("coalesce-msgs", channel.DefaultCoalesce.MaxMsgs, "flush a batch at this many queued messages")
 	coalesceBytes := flag.Int("coalesce-bytes", channel.DefaultCoalesce.MaxBytes, "flush a batch at this many queued payload bytes (0 = no byte budget)")
 	coalesceHold := flag.Int64("coalesce-hold", 0, "flush when queued drives span this many virtual ns (0 = unbounded)")
-	wireGob := flag.Bool("wire-gob", false, "force the gob fallback wire codec on every batch entry (the pre-zero-copy format; decoders accept both, so only the sender needs the flag)")
 
 	// Deterministic fault injection on accepted connections (chaos
 	// testing a designer's link against this vendor node).
@@ -106,7 +105,6 @@ func main() {
 	meshUntil := flag.Duration("mesh-until", 0, "virtual horizon for the mesh run (0 = the demo workload's natural horizon)")
 	meshMigrate := flag.String("mesh-migrate", "", "scripted live migration, \"component:dest@virtualtime\" e.g. \"hot:bravo@50ms\" (leader only)")
 	flag.Parse()
-	channel.SetForceGob(*wireGob)
 
 	// Merge mode: stitch per-node timeline files from a distributed
 	// run into one Perfetto trace and exit without serving anything.

@@ -363,8 +363,13 @@ func TestPipeFIFO(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	for i := 1; i <= 100; i++ {
-		if err := a.Send(Message{Seq: uint64(i)}); err != nil {
+	// Batches of growing size: order holds within and across them.
+	for i, n := 1, 1; i <= 100; n++ {
+		var batch []Message
+		for ; len(batch) < n && i <= 100; i++ {
+			batch = append(batch, Message{Seq: uint64(i)})
+		}
+		if err := a.SendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,7 +380,7 @@ func TestPipeFIFO(t *testing.T) {
 		}
 	}
 	b.Close()
-	if err := a.Send(Message{}); err != ErrPipeClosed {
+	if err := a.SendBatch([]Message{{}}); err != ErrPipeClosed {
 		t.Fatalf("send after close = %v, want ErrPipeClosed", err)
 	}
 }

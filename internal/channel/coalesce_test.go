@@ -9,19 +9,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// fakeBatchTr records what the endpoint hands the transport: whole
-// batches via SendBatch, single messages via Send.
+// fakeBatchTr records the batches the endpoint hands the transport.
 type fakeBatchTr struct {
 	mu      sync.Mutex
 	batches [][]Message
-	singles []Message
-}
-
-func (f *fakeBatchTr) Send(m Message) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.singles = append(f.singles, m)
-	return nil
 }
 
 func (f *fakeBatchTr) SendBatch(msgs []Message) error {
@@ -34,10 +25,10 @@ func (f *fakeBatchTr) SendBatch(msgs []Message) error {
 
 func (f *fakeBatchTr) Close() error { return nil }
 
-func (f *fakeBatchTr) snapshot() (batches [][]Message, singles []Message) {
+func (f *fakeBatchTr) snapshot() [][]Message {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([][]Message(nil), f.batches...), append([]Message(nil), f.singles...)
+	return append([][]Message(nil), f.batches...)
 }
 
 func coalescingEndpoint(t *testing.T, cfg CoalesceConfig) (*Endpoint, *fakeBatchTr) {
@@ -64,9 +55,8 @@ func TestEmptyFlushIsNoOp(t *testing.T) {
 	ep, tr := coalescingEndpoint(t, CoalesceConfig{MaxMsgs: 16})
 	ep.Flush()
 	ep.Flush()
-	batches, singles := tr.snapshot()
-	if len(batches) != 0 || len(singles) != 0 {
-		t.Fatalf("empty flush sent something: %d batches, %d singles", len(batches), len(singles))
+	if batches := tr.snapshot(); len(batches) != 0 {
+		t.Fatalf("empty flush sent %d batches", len(batches))
 	}
 	if st := ep.Stats(); st.Flushes != 0 {
 		t.Fatalf("empty flushes counted: %d", st.Flushes)
@@ -82,17 +72,14 @@ func TestFlushBeforeAsk(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		drive(ep, i)
 	}
-	if batches, singles := tr.snapshot(); len(batches) != 0 || len(singles) != 0 {
-		t.Fatalf("drives under budget flushed early: %d batches, %d singles", len(batches), len(singles))
+	if batches := tr.snapshot(); len(batches) != 0 {
+		t.Fatalf("drives under budget flushed early: %d batches", len(batches))
 	}
 	if n := ep.PendingOut(); n != 3 {
 		t.Fatalf("pending %d, want 3", n)
 	}
 	ep.Request(1000)
-	batches, singles := tr.snapshot()
-	if len(singles) != 0 {
-		t.Fatalf("unexpected single sends: %v", singles)
-	}
+	batches := tr.snapshot()
 	if len(batches) != 1 {
 		t.Fatalf("want 1 batch, got %d", len(batches))
 	}
@@ -123,7 +110,7 @@ func TestCoalesceCountBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		drive(ep, i)
 	}
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 2 || len(batches[0]) != 4 || len(batches[1]) != 4 {
 		t.Fatalf("count budget of 4 over 8 drives gave %d batches", len(batches))
 	}
@@ -139,7 +126,7 @@ func TestCoalesceByteBudget(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		drive(ep, i)
 	}
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 3 {
 		t.Fatalf("byte budget gave %d batches, want 3", len(batches))
 	}
@@ -152,13 +139,13 @@ func TestCoalesceMaxHold(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		drive(ep, i)
 	}
-	if batches, _ := tr.snapshot(); len(batches) != 0 {
+	if batches := tr.snapshot(); len(batches) != 0 {
 		t.Fatalf("hold span not reached but %d batches flushed", len(batches))
 	}
 	// A drive arriving 20 ticks later exceeds MaxHold and forces the
 	// flush.
 	drive(ep, 30)
-	batches, _ := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 1 || len(batches[0]) != 6 {
 		t.Fatalf("hold-span flush: %d batches", len(batches))
 	}
@@ -169,23 +156,22 @@ func TestDisableCoalescingFlushesAndReverts(t *testing.T) {
 	drive(ep, 0)
 	drive(ep, 1)
 	ep.SetCoalescing(CoalesceConfig{}) // disable: must drain the queue
-	batches, singles := tr.snapshot()
+	batches := tr.snapshot()
 	if len(batches) != 1 || len(batches[0]) != 2 {
-		t.Fatalf("disable did not flush the queue: %d batches %d singles", len(batches), len(singles))
+		t.Fatalf("disable did not flush the queue: %d batches", len(batches))
 	}
-	drive(ep, 2) // now back on the immediate path
-	_, singles = tr.snapshot()
-	if len(singles) != 1 {
-		t.Fatalf("disabled endpoint still batching: %d singles", len(singles))
+	drive(ep, 2) // now back on the immediate path: a batch of one
+	batches = tr.snapshot()
+	if len(batches) != 2 || len(batches[1]) != 1 {
+		t.Fatalf("disabled endpoint still holding drives: %d batches", len(batches))
 	}
 }
 
-// TestCoalescedConservativeDelivery asks pipe-connected endpoints to
-// coalesce. Pipes cannot batch, so SetCoalescing must degrade to the
-// immediate path with delivery unchanged — the guarantee that lets
-// the builder apply one coalescing policy to mixed deployments.
-// (Batched end-to-end delivery over real TCP is covered in the node
-// package tests.)
+// TestCoalescedConservativeDelivery coalesces pipe-connected
+// endpoints: pipes carry batches like any transport, so coalescing
+// must change only wall-clock timing, never what is delivered or in
+// which order. (Batched end-to-end delivery over real TCP is covered
+// in the node package tests.)
 func TestCoalescedConservativeDelivery(t *testing.T) {
 	s1, s2, _, rcv, h1, h2 := twoSubs(t, Conservative, LinkModel{Latency: 5, PerMessage: 1}, 25, 10)
 	for _, h := range []*Hub{h1, h2} {

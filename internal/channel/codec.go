@@ -1,12 +1,11 @@
 package channel
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"sync/atomic"
+	"reflect"
+	"sync"
 
 	"repro/internal/signal"
 	"repro/internal/vtime"
@@ -21,21 +20,10 @@ import (
 //
 // and each entry is
 //
-//	u8      encoding (encBinary | encGob)
 //	uvarint length
-//	length  bytes
+//	length  bytes   (one message)
 //
-// An encBinary entry is the hand-rolled codec below — it covers the
-// hot message kinds (data drives carrying signal values, safe-time
-// asks and grants) plus marks, restores and closes. Any message the
-// fast path cannot express — in practice a data message whose Value
-// is not a signal type — is carried as an encGob entry: the whole
-// Message gob-encoded, self-describing, exactly as the pre-batch
-// protocol framed every message. Entries of both encodings interleave
-// freely inside one batch, so enabling the fast path never constrains
-// what a channel may carry.
-//
-// The binary message layout is
+// There is exactly one encoding. The message layout is
 //
 //	u8      Kind
 //	uvarint Seq
@@ -53,13 +41,13 @@ import (
 //	0 nil, 1 Level, 2 Word, 3 Byte, 4 Packet, 5 Frame, 6 BusCycle,
 //	7 Control, 8 IRQ, 9 int (the common test/helper payload)
 //
+// A tag of MinValueTag or above names a type added with RegisterValue;
+// its value is a uvarint length followed by the registered encoding.
+// A data message whose value is neither a signal type nor registered
+// cannot be sent: AppendBatch refuses it with *UnencodableValueError.
+//
 // Times are non-negative int64 ticks (Infinity = MaxInt64), encoded
 // as uvarint.
-
-const (
-	encBinary byte = 0
-	encGob    byte = 1
-)
 
 const (
 	valNil      byte = 0
@@ -74,6 +62,83 @@ const (
 	valInt      byte = 9
 )
 
+// MinValueTag is the lowest value tag RegisterValue accepts; the tags
+// below it belong to the built-in signal types.
+const MinValueTag byte = 16
+
+// valueCodec is one RegisterValue entry.
+type valueCodec struct {
+	tag byte
+	typ reflect.Type
+	enc func(dst []byte, v any) []byte
+	dec func(b []byte) (any, error)
+}
+
+var valueCodecs struct {
+	mu    sync.Mutex
+	byTyp map[reflect.Type]*valueCodec
+	byTag map[byte]*valueCodec
+}
+
+// RegisterValue makes values of type T encodable on a channel that
+// crosses a node: tag identifies T on the wire, enc appends a value's
+// encoding to dst, and dec parses one back. dec receives exactly the
+// bytes enc wrote, in a buffer that is reused after dec returns, so it
+// must copy anything it keeps. Both ends of a channel must register
+// the same tag for T; call RegisterValue from an init function. It
+// panics on a reserved tag (below MinValueTag) or on a tag or type
+// registered twice.
+func RegisterValue[T any](tag byte, enc func(dst []byte, v T) []byte, dec func(b []byte) (T, error)) {
+	typ := reflect.TypeOf((*T)(nil)).Elem()
+	if tag < MinValueTag {
+		panic(fmt.Sprintf("channel: RegisterValue(%v): tag %d is reserved", typ, tag))
+	}
+	vc := &valueCodec{
+		tag: tag,
+		typ: typ,
+		enc: func(dst []byte, v any) []byte { return enc(dst, v.(T)) },
+		dec: func(b []byte) (any, error) { return dec(b) },
+	}
+	valueCodecs.mu.Lock()
+	defer valueCodecs.mu.Unlock()
+	if valueCodecs.byTyp == nil {
+		valueCodecs.byTyp = make(map[reflect.Type]*valueCodec)
+		valueCodecs.byTag = make(map[byte]*valueCodec)
+	}
+	if old := valueCodecs.byTag[tag]; old != nil {
+		panic(fmt.Sprintf("channel: RegisterValue(%v): tag %d already names %v", typ, tag, old.typ))
+	}
+	if valueCodecs.byTyp[typ] != nil {
+		panic(fmt.Sprintf("channel: RegisterValue(%v): type registered twice", typ))
+	}
+	valueCodecs.byTyp[typ] = vc
+	valueCodecs.byTag[tag] = vc
+}
+
+func codecByType(t reflect.Type) *valueCodec {
+	valueCodecs.mu.Lock()
+	defer valueCodecs.mu.Unlock()
+	return valueCodecs.byTyp[t]
+}
+
+func codecByTag(tag byte) *valueCodec {
+	valueCodecs.mu.Lock()
+	defer valueCodecs.mu.Unlock()
+	return valueCodecs.byTag[tag]
+}
+
+// UnencodableValueError reports a data message whose value has no wire
+// encoding: it is neither a signal type nor registered with
+// RegisterValue. The endpoint records it on Err.
+type UnencodableValueError struct {
+	Net  string       // the message's destination net
+	Type reflect.Type // the value's dynamic type
+}
+
+func (e *UnencodableValueError) Error() string {
+	return fmt.Sprintf("channel: value of type %v on net %q has no wire encoding (register it with channel.RegisterValue)", e.Type, e.Net)
+}
+
 func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
@@ -87,8 +152,9 @@ func appendTime(dst []byte, t vtime.Time) []byte {
 	return binary.AppendUvarint(dst, uint64(t))
 }
 
-// appendValue encodes a signal value on the fast path; ok=false means
-// the value needs the gob fallback.
+// appendValue encodes a value; ok=false means its type has no
+// encoding. Signal types take the type switch; only other types pay
+// the registry lookup.
 func appendValue(dst []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case nil:
@@ -141,13 +207,21 @@ func appendValue(dst []byte, v any) ([]byte, bool) {
 		dst = append(dst, valInt)
 		return binary.AppendUvarint(dst, uint64(int64(x))+math.MaxInt64+1), true
 	default:
-		return dst, false
+		vc := codecByType(reflect.TypeOf(v))
+		if vc == nil {
+			return dst, false
+		}
+		dst = append(dst, vc.tag, 0, 0, 0, 0)
+		pos := len(dst)
+		dst = vc.enc(dst, v)
+		putFixedUvarint4(dst[pos-entryLenWidth:pos], uint64(len(dst)-pos))
+		return dst, true
 	}
 }
 
-// appendMessage encodes m on the binary fast path; ok=false means the
-// caller must fall back to gob (dst is returned unchanged then).
-func appendMessage(dst []byte, m Message) ([]byte, bool) {
+// appendMessage encodes m onto dst. On error dst is returned
+// unchanged.
+func appendMessage(dst []byte, m Message) ([]byte, error) {
 	mark := len(dst)
 	dst = append(dst, byte(m.Kind))
 	dst = appendUvarint(dst, m.Seq)
@@ -160,47 +234,32 @@ func appendMessage(dst []byte, m Message) ([]byte, bool) {
 		dst = appendTime(dst, m.Time)
 		out, ok := appendValue(dst, m.Value)
 		if !ok {
-			return dst[:mark], false
+			return dst[:mark], &UnencodableValueError{Net: m.Net, Type: reflect.TypeOf(m.Value)}
 		}
-		return out, true
+		return out, nil
 	case KindSafeTimeReq:
-		return appendTime(dst, m.Ask), true
+		return appendTime(dst, m.Ask), nil
 	case KindSafeTimeGrant:
-		return appendTime(dst, m.Grant), true
+		return appendTime(dst, m.Grant), nil
 	case KindMark, KindRestore:
-		return appendString(dst, m.Tag), true
+		return appendString(dst, m.Tag), nil
 	case KindClose:
-		return dst, true
+		return dst, nil
 	default:
-		return dst[:mark], false
+		return dst[:mark], fmt.Errorf("channel: cannot encode message kind %d", m.Kind)
 	}
 }
 
-// forceGob, when set, makes AppendBatch skip the binary fast path and
-// carry every entry as self-describing gob — the pre-zero-copy wire
-// codec. It exists so the -exp wire ablation (and anyone debugging a
-// framing suspicion) can force the compatibility fallback; decoders
-// accept both encodings unconditionally, so the knob only ever needs
-// to be set on the sending side.
-var forceGob atomic.Bool
-
-// SetForceGob forces (or releases) the gob fallback encoding for
-// every batch entry this process sends. Safe from any goroutine.
-func SetForceGob(on bool) { forceGob.Store(on) }
-
-// ForceGob reports whether the gob fallback encoding is forced.
-func ForceGob() bool { return forceGob.Load() }
-
-// entryLenWidth is the fixed width of the patchable per-entry length
-// varint: 4 bytes encode up to 2^28-1, comfortably above the frame
-// limit. Continuation-padded varints are what binary.Uvarint already
-// accepts, so old decoders read the new layout unchanged.
+// entryLenWidth is the fixed width of a patchable length varint (batch
+// entries and registered values): 4 bytes encode up to 2^28-1,
+// comfortably above the frame limit. Continuation-padded varints are
+// what binary.Uvarint already accepts.
 const entryLenWidth = 4
 
 const maxEntryLen = 1<<(7*entryLenWidth) - 1
 
 // putFixedUvarint4 writes v as a 4-byte continuation-padded varint so
-// an entry length can be patched in place after the body is encoded.
+// a length can be patched in place after the body is encoded.
 func putFixedUvarint4(dst []byte, v uint64) {
 	for i := 0; i < entryLenWidth-1; i++ {
 		dst[i] = byte(v&0x7f) | 0x80
@@ -209,45 +268,23 @@ func putFixedUvarint4(dst []byte, v uint64) {
 	dst[entryLenWidth-1] = byte(v & 0x7f)
 }
 
-// sliceWriter lets the gob fallback encode straight into the batch
-// payload under construction, with no intermediate buffer.
-type sliceWriter struct{ buf []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
 // appendEntry encodes one message as a batch entry appended to dst:
-// encoding byte, fixed-width patchable length, body encoded in place.
+// a fixed-width patchable length, then the body encoded in place.
 // The zero-copy point: the body is written directly into dst — there
-// is no per-message intermediate slice on either encoding.
+// is no per-message intermediate slice.
 func appendEntry(dst []byte, m Message) ([]byte, error) {
 	mark := len(dst)
-	if !forceGob.Load() {
-		dst = append(dst, encBinary)
-		lenPos := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		if out, ok := appendMessage(dst, m); ok {
-			putFixedUvarint4(out[lenPos:lenPos+entryLenWidth], uint64(len(out)-lenPos-entryLenWidth))
-			return out, nil
-		}
-		dst = dst[:mark]
-	}
-	dst = append(dst, encGob)
-	lenPos := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	w := sliceWriter{buf: dst}
-	if err := gob.NewEncoder(&w).Encode(m); err != nil {
-		return dst[:mark], fmt.Errorf("channel: batch gob fallback: %w", err)
+	out, err := appendMessage(dst, m)
+	if err != nil {
+		return dst[:mark], err
 	}
-	dst = w.buf
-	entry := len(dst) - lenPos - entryLenWidth
-	if entry > maxEntryLen {
-		return dst[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", entry)
+	n := len(out) - mark - entryLenWidth
+	if n > maxEntryLen {
+		return out[:mark], fmt.Errorf("channel: batch entry of %d bytes exceeds limit", n)
 	}
-	putFixedUvarint4(dst[lenPos:lenPos+entryLenWidth], uint64(entry))
-	return dst, nil
+	putFixedUvarint4(out[mark:], uint64(n))
+	return out, nil
 }
 
 // AppendBatch encodes messages into a batch frame payload appended to
@@ -255,9 +292,11 @@ func appendEntry(dst []byte, m Message) ([]byte, error) {
 // It returns the payload and how many messages were consumed; at
 // least one message is always encoded (a single oversized message is
 // a protocol error surfaced by the transport's own frame limit, not
-// silently truncated here). Messages the binary codec cannot express
-// are embedded as gob entries; SetForceGob forces that fallback for
-// every entry.
+// silently truncated here). A message that cannot be encoded stops
+// the batch: if it is the first, AppendBatch returns its error (an
+// *UnencodableValueError for a value of unregistered type); otherwise
+// the messages before it are returned and it surfaces on the next
+// call.
 //
 // Bodies are encoded directly into dst behind reserved fixed-width
 // length varints that are patched afterwards, so the encode path
@@ -512,7 +551,19 @@ func (d *BatchDecoder) value(r *reader) (any, error) {
 		v, err := r.zigzagless()
 		return int(v), err
 	default:
-		return nil, fmt.Errorf("channel: unknown value tag %d", tag)
+		vc := codecByTag(tag)
+		if vc == nil {
+			return nil, fmt.Errorf("channel: unknown value tag %d", tag)
+		}
+		n, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		b, err := r.bytes(int(n))
+		if err != nil {
+			return nil, err
+		}
+		return vc.dec(b)
 	}
 }
 
@@ -576,14 +627,8 @@ func (d *BatchDecoder) message(body []byte) (Message, error) {
 	return m, nil
 }
 
-// entry decodes the next batch entry from r. The gob fallback lives
-// in its own function so its escaping Message does not force a heap
-// allocation onto the binary fast path.
+// entry decodes the next batch entry from r.
 func (d *BatchDecoder) entry(r *reader) (Message, error) {
-	enc, err := r.byte1()
-	if err != nil {
-		return Message{}, err
-	}
 	n, err := r.uvarint()
 	if err != nil {
 		return Message{}, err
@@ -592,22 +637,7 @@ func (d *BatchDecoder) entry(r *reader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	switch enc {
-	case encBinary:
-		return d.message(body)
-	case encGob:
-		return decodeGobEntry(body)
-	default:
-		return Message{}, fmt.Errorf("channel: unknown batch encoding %d", enc)
-	}
-}
-
-func decodeGobEntry(body []byte) (Message, error) {
-	var m Message
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-		return m, fmt.Errorf("channel: batch gob entry: %w", err)
-	}
-	return m, nil
+	return d.message(body)
 }
 
 // DecodeBatch decodes a batch frame payload, invoking fn for every

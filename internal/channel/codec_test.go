@@ -1,21 +1,38 @@
 package channel
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/signal"
 	"repro/internal/vtime"
 )
 
-// customVal has no binary fast path: it must ride the gob fallback.
+// customVal is not a signal type: it crosses the wire through
+// RegisterValue.
 type customVal struct {
 	A int
 	B string
 }
 
-func init() { gob.Register(customVal{}) }
+// unregisteredVal has no encoding at all.
+type unregisteredVal struct{ X int }
+
+func init() {
+	RegisterValue(MinValueTag, func(dst []byte, v customVal) []byte {
+		dst = binary.AppendVarint(dst, int64(v.A))
+		return append(dst, v.B...)
+	}, func(b []byte) (customVal, error) {
+		a, n := binary.Varint(b)
+		if n <= 0 {
+			return customVal{}, errors.New("customVal: bad A")
+		}
+		return customVal{A: int(a), B: string(b[n:])}, nil
+	})
+}
 
 func decodeAll(t *testing.T, dec *BatchDecoder, frames [][]byte) (got []Message, closed bool) {
 	t.Helper()
@@ -77,10 +94,10 @@ func TestBatchRoundTripAllKindsAndValues(t *testing.T) {
 	mustEqualMessages(t, got, msgs)
 }
 
-func TestBatchMixedFastPathAndGobFallback(t *testing.T) {
+func TestBatchMixedSignalAndRegisteredValues(t *testing.T) {
 	msgs := []Message{
 		{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Time: 1, Value: signal.Word(1)},
-		{Kind: KindData, From: "ss1", Seq: 2, Net: "link", Source: "p", Time: 2, Value: customVal{A: 7, B: "gob"}},
+		{Kind: KindData, From: "ss1", Seq: 2, Net: "link", Source: "p", Time: 2, Value: customVal{A: 7, B: "reg"}},
 		{Kind: KindData, From: "ss1", Seq: 3, Net: "link", Source: "p", Time: 3, Value: signal.Word(3)},
 		{Kind: KindData, From: "ss1", Seq: 4, Net: "link", Source: "p", Time: 4, Value: customVal{A: 9, B: "again"}},
 		{Kind: KindSafeTimeReq, From: "ss1", Seq: 5, Ask: 100},
@@ -172,15 +189,84 @@ func TestBatchCloseDetected(t *testing.T) {
 func TestBatchDecoderRejectsGarbage(t *testing.T) {
 	dec := NewBatchDecoder()
 	for _, payload := range [][]byte{
-		{},                       // no count
-		{0x01},                   // count 1, no entry
-		{0x01, 0x00},             // entry without length
-		{0x01, 0x00, 0x09},       // binary entry shorter than its length
-		{0x01, 0x07, 0x01},       // unknown encoding 7
-		{0x01, 0x00, 0x01, 0xff}, // unknown message kind 255
+		{},                 // no count
+		{0x01},             // count 1, no entry
+		{0x01, 0x00},       // entry without length
+		{0x01, 0x09},       // entry shorter than its length
+		{0x01, 0x01, 0xff}, // unknown message kind 255
+		{0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63}, // unknown value tag 99
 	} {
 		if _, err := dec.DecodeBatch(payload, func(Message) {}); err == nil {
 			t.Fatalf("payload %v decoded without error", payload)
 		}
 	}
 }
+
+func TestRegisterValueRejectsReservedAndDuplicateTags(t *testing.T) {
+	enc := func(dst []byte, v unregisteredVal) []byte { return dst }
+	dec := func([]byte) (unregisteredVal, error) { return unregisteredVal{}, nil }
+	for name, tag := range map[string]byte{"reserved": valInt, "duplicate": MinValueTag} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s tag %d accepted", name, tag)
+				}
+			}()
+			RegisterValue(tag, enc, dec)
+		}()
+	}
+	if _, _, err := AppendBatch(nil, []Message{{Kind: KindData, Value: unregisteredVal{}}}, 1<<20); err == nil {
+		t.Fatal("a refused registration left the type encodable")
+	}
+}
+
+// TestUnencodableValueIsTyped: a value that is neither a signal type
+// nor registered is refused with *UnencodableValueError — from
+// AppendBatch directly, and on Endpoint.Err when a drive carries it.
+func TestUnencodableValueIsTyped(t *testing.T) {
+	bad := Message{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Value: unregisteredVal{X: 1}}
+	_, n, err := AppendBatch(nil, []Message{bad}, 1<<20)
+	var uerr *UnencodableValueError
+	if !errors.As(err, &uerr) || n != 0 {
+		t.Fatalf("AppendBatch: n=%d err=%v, want *UnencodableValueError", n, err)
+	}
+	if uerr.Net != "link" || uerr.Type != reflect.TypeOf(unregisteredVal{}) {
+		t.Fatalf("error names net %q type %v", uerr.Net, uerr.Type)
+	}
+
+	// Behind an encodable message the bad one ends the batch; the next
+	// call reports it.
+	good := Message{Kind: KindData, From: "ss1", Seq: 1, Net: "link", Source: "p", Value: signal.Word(1)}
+	if _, n, err := AppendBatch(nil, []Message{good, bad}, 1<<20); err != nil || n != 1 {
+		t.Fatalf("good then bad: n=%d err=%v, want 1 message and no error", n, err)
+	}
+
+	sub := core.NewSubsystem("ss1")
+	ep, err := NewHub(sub).NewEndpoint("peer", Conservative, LinkModel{Latency: 5, PerMessage: 1}, &encodingTr{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.egress("link", core.Msg{Sent: 1, Value: unregisteredVal{X: 2}, Source: "prod"})
+	uerr = nil
+	if err := ep.Err(); !errors.As(err, &uerr) {
+		t.Fatalf("Endpoint.Err() = %v, want *UnencodableValueError", err)
+	}
+}
+
+// encodingTr encodes every batch the way a node connection does, and
+// keeps nothing.
+type encodingTr struct{ buf []byte }
+
+func (e *encodingTr) SendBatch(msgs []Message) error {
+	for len(msgs) > 0 {
+		var n int
+		var err error
+		if e.buf, n, err = AppendBatch(e.buf[:0], msgs, 1<<20); err != nil {
+			return err
+		}
+		msgs = msgs[n:]
+	}
+	return nil
+}
+
+func (e *encodingTr) Close() error { return nil }

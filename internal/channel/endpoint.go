@@ -68,14 +68,6 @@ func (c CoalesceConfig) Enabled() bool { return c.MaxMsgs > 1 }
 // amortize framing, small enough to keep wall-clock latency low.
 var DefaultCoalesce = CoalesceConfig{MaxMsgs: 64, MaxBytes: 32 << 10}
 
-// BatchTransport is implemented by transports that can carry several
-// messages in one frame. SetCoalescing only takes effect on
-// endpoints whose Transport also implements BatchTransport.
-type BatchTransport interface {
-	Transport
-	SendBatch(msgs []Message) error
-}
-
 // Hub manages all channel endpoints of one subsystem. It chains into
 // the subsystem's publish hook so grants are computed and pushed on
 // the scheduler goroutine, after injected messages have been routed —
@@ -436,13 +428,12 @@ type Endpoint struct {
 	// and rebinding on another endpoint under the new placement epoch.
 	binds map[string]string
 
-	// Egress coalescing. Messages are appended to pendingOut under
-	// ep.mu in nextOut order, so the queue is the seq order; flush
-	// extracts the whole queue and hands it to the transport under
-	// sendMu, which serializes flushes and keeps batches in order.
+	// Egress. Messages are appended to pendingOut under ep.mu in
+	// nextOut order, so the queue is the seq order; flush extracts the
+	// whole queue and hands it to the transport under sendMu, which
+	// serializes flushes and keeps batches in order. Without
+	// coalescing every message flushes at once: a batch of one.
 	coalesce     CoalesceConfig
-	coalesceOn   bool
-	btr          BatchTransport
 	pendingOut   []Message
 	spareOut     []Message // previous batch's backing array, reused
 	pendingBytes int
@@ -491,7 +482,9 @@ func (ep *Endpoint) Stats() Stats {
 	return ep.stats
 }
 
-// Err returns any protocol error observed on ingress.
+// Err returns the first protocol or transport error the endpoint
+// observed, on ingress or egress. A data value with no wire encoding
+// surfaces here as an *UnencodableValueError.
 func (ep *Endpoint) Err() error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -717,12 +710,6 @@ func (ep *Endpoint) nextOut(m Message) Message {
 	return m
 }
 
-func (ep *Endpoint) send(m Message) {
-	if err := ep.tr.Send(m); err != nil {
-		ep.setErr(fmt.Errorf("channel %s: send: %w", ep.Name(), err))
-	}
-}
-
 func (ep *Endpoint) setErr(err error) {
 	ep.mu.Lock()
 	if ep.protoErr == nil {
@@ -731,35 +718,15 @@ func (ep *Endpoint) setErr(err error) {
 	ep.mu.Unlock()
 }
 
-// SetCoalescing enables or disables egress coalescing. It only takes
-// effect when the endpoint's transport can carry batches (the node
-// wire transport can; the in-process pipe cannot and keeps the
-// immediate path). Safe to call at any time; a disable flushes
-// whatever is queued.
+// SetCoalescing sets the egress flush policy. Safe to call at any
+// time; a disable flushes whatever is queued as one last batch.
 func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 	ep.mu.Lock()
-	btr, batching := ep.tr.(BatchTransport)
-	if cfg.Enabled() && batching {
-		ep.coalesce = cfg
-		ep.coalesceOn = true
-		ep.btr = btr
-		ep.mu.Unlock()
-		return
-	}
-	wasOn := ep.coalesceOn
+	ep.coalesce = cfg
 	ep.mu.Unlock()
-	if wasOn {
-		// Drain what is queued as one last batch before reverting to
-		// the immediate path.
+	if !cfg.Enabled() {
 		ep.Flush()
 	}
-	ep.mu.Lock()
-	ep.coalesceOn = false
-	ep.btr = nil
-	ep.mu.Unlock()
-	// Catch anything that raced into the queue between the drain and
-	// the disable; a clean queue makes this a no-op.
-	ep.Flush()
 }
 
 // queueLocked appends m to the egress queue and reports whether the
@@ -767,7 +734,7 @@ func (ep *Endpoint) SetCoalescing(cfg CoalesceConfig) {
 // already be stamped by nextOut so queue order is seq order.
 func (ep *Endpoint) queueLocked(m Message, urgent bool) bool {
 	ep.pendingOut = append(ep.pendingOut, m)
-	if !ep.coalesceOn || urgent {
+	if urgent || !ep.coalesce.Enabled() {
 		return true
 	}
 	ep.pendingBytes += payloadSize(m.Value)
@@ -801,8 +768,6 @@ func (ep *Endpoint) Flush() {
 	ep.pendingOut = ep.spareOut[:0]
 	ep.spareOut = batch
 	ep.pendingBytes = 0
-	useBatch := ep.coalesceOn && ep.btr != nil
-	btr := ep.btr
 	if len(batch) > 0 {
 		ep.stats.Flushes++
 		ep.stats.FlushedMsgs += int64(len(batch))
@@ -811,14 +776,8 @@ func (ep *Endpoint) Flush() {
 	if len(batch) == 0 {
 		return
 	}
-	if useBatch {
-		if err := btr.SendBatch(batch); err != nil {
-			ep.setErr(fmt.Errorf("channel %s: send batch: %w", ep.Name(), err))
-		}
-	} else {
-		for _, m := range batch {
-			ep.send(m)
-		}
+	if err := ep.tr.SendBatch(batch); err != nil {
+		ep.setErr(fmt.Errorf("channel %s: send: %w", ep.Name(), err))
 	}
 }
 

@@ -115,16 +115,20 @@ func (m Message) String() string {
 	}
 }
 
-// Transport moves messages to the peer endpoint, preserving order.
-// Send must not block indefinitely on the caller's goroutine: the
-// subsystem scheduler calls it.
+// Transport moves batches of messages to the peer endpoint,
+// preserving order within and across batches. An endpoint hands it
+// every flush of its egress queue; without coalescing a flush is a
+// batch of one. SendBatch must not block indefinitely on the caller's
+// goroutine (the subsystem scheduler calls it) and must not keep msgs
+// after it returns: the endpoint reuses the array.
 type Transport interface {
-	Send(Message) error
+	SendBatch(msgs []Message) error
 	Close() error
 }
 
-// Register registers channel and signal types with gob for transports
-// that serialize (the node package calls this).
+// Register registers channel and signal types with gob, for the
+// gob-encoded checkpoint and migration images that carry them (the
+// node package calls this).
 func Register() {
 	gob.Register(Message{})
 	signal.Register()

@@ -10,7 +10,7 @@ import (
 // payloadSize charges the link model for a value's wire size.
 func payloadSize(v any) int { return signal.Size(v) }
 
-// ErrPipeClosed is returned by Send after Close.
+// ErrPipeClosed is returned by SendBatch after Close.
 var ErrPipeClosed = errors.New("channel: pipe closed")
 
 // PipeEnd is an in-process Transport: two ends connected by unbounded
@@ -37,15 +37,16 @@ func Pipe() (*PipeEnd, *PipeEnd) {
 	return a, b
 }
 
-// Send enqueues a message for the peer. It never blocks.
-func (p *PipeEnd) Send(m Message) error {
+// SendBatch enqueues a batch for the peer under one lock with one
+// wake-up. It copies the messages and never blocks.
+func (p *PipeEnd) SendBatch(msgs []Message) error {
 	q := p.peer
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrPipeClosed
 	}
-	q.queue = append(q.queue, m)
+	q.queue = append(q.queue, msgs...)
 	q.cond.Signal()
 	return nil
 }

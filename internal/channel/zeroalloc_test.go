@@ -139,21 +139,3 @@ func BenchmarkDecodeBatchInto(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAppendBatchGobFallback is the ablation twin: the same
-// batch forced onto the gob fallback, for comparison against the
-// zero-copy binary path.
-func BenchmarkAppendBatchGobFallback(b *testing.B) {
-	SetForceGob(true)
-	defer SetForceGob(false)
-	msgs := protocolMix()
-	var dst []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, _, err = AppendBatch(dst[:0], msgs, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

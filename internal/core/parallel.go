@@ -204,7 +204,7 @@ func (s *Subsystem) runParallelRound(pi planInfo, until vtime.Time) bool {
 	// bound: a speculation may be wrong about its peers, never about
 	// an external synchronization point.
 	roundCap := vtime.Infinity
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if gb := g.Bound().Add(1); gb < roundCap {
 			roundCap = gb
 		}

@@ -87,7 +87,11 @@ type Subsystem struct {
 
 	now vtime.Time
 
-	gates    []Gate
+	// gates is copied on write: a channel accepted while the run loop
+	// is live (a designer attaching to a running session) adds a gate
+	// from another goroutine, and the loop reads whichever list was
+	// last published.
+	gates    atomic.Pointer[[]Gate]
 	external int // count of ingress sources that may still inject
 
 	// Parallel execution (see parallel.go). workers is the pool
@@ -433,7 +437,22 @@ func (s *Subsystem) AttachHidden(n *Net, name string, owner string, sink Sink) (
 }
 
 // AddGate registers an advancement constraint (conservative channel).
-func (s *Subsystem) AddGate(g Gate) { s.gates = append(s.gates, g) }
+// Safe from any goroutine, also while the subsystem runs.
+func (s *Subsystem) AddGate(g Gate) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.gateList()
+	gs := append(old[:len(old):len(old)], g)
+	s.gates.Store(&gs)
+}
+
+// gateList returns the registered gates; the slice is never mutated.
+func (s *Subsystem) gateList() []Gate {
+	if gs := s.gates.Load(); gs != nil {
+		return *gs
+	}
+	return nil
+}
 
 // AddExternal registers an ingress source: while any are registered
 // the scheduler waits for injections instead of terminating when it
@@ -1080,7 +1099,7 @@ func (s *Subsystem) seqFastBound(pi planInfo, until vtime.Time) vtime.Time {
 			b = pi.key2.Add(1)
 		}
 	}
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if gb := g.Bound().Add(1); gb < b {
 			b = gb
 		}
@@ -1116,7 +1135,7 @@ func (s *Subsystem) pick() (*Component, vtime.Time) {
 // every gate with obligations has discharged them.
 func (s *Subsystem) gatesDrained(until vtime.Time) bool {
 	ok := true
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if g.Bound() <= until {
 			g.Request(until.Add(1))
 			ok = false
@@ -1133,7 +1152,7 @@ func (s *Subsystem) gatesDrained(until vtime.Time) bool {
 // bound is too low it issues async requests and reports true.
 func (s *Subsystem) gateBlocked(t vtime.Time) bool {
 	blocked := false
-	for _, g := range s.gates {
+	for _, g := range s.gateList() {
 		if g.Bound() < t {
 			g.Request(t)
 			blocked = true

@@ -151,6 +151,9 @@ func newObsStack(reg *metrics.Registry, every time.Duration) (*obsStack, error) 
 // the recorder tripped (a healthy leg must not trigger a post-mortem)
 // or the live watcher was dropped.
 func (st *obsStack) stop(row *ObsRow) error {
+	// One last sample, so a run shorter than one sampling interval
+	// still streams its deltas.
+	st.sampler.Tick()
 	st.sampler.Stop()
 	st.watch.close()
 	if tripped, reason := st.rec.Tripped(); tripped {

@@ -41,14 +41,14 @@ type metricFrame struct {
 	Changed []MetricDelta `json:"changed"`
 }
 
-// frame is one SSE event queued to a subscriber.
-type frame struct {
+// sseEvent is one SSE event queued to a subscriber.
+type sseEvent struct {
 	event string
 	data  []byte
 }
 
 type subscriber struct {
-	ch      chan frame
+	ch      chan sseEvent
 	session string // ?session= filter ("" = all)
 	prefix  string // ?prefix= filter on metric names ("" = all)
 	gone    bool   // closed and removed (guarded by Hub.mu)
@@ -129,7 +129,7 @@ func (h *Hub) Sent() uint64 {
 
 // enqueueLocked delivers a frame to one subscriber or drops it.
 // Caller holds h.mu, which is what makes close-vs-send race-free.
-func (h *Hub) enqueueLocked(s *subscriber, f frame) {
+func (h *Hub) enqueueLocked(s *subscriber, f sseEvent) {
 	select {
 	case s.ch <- f:
 		h.sent.Add(1)
@@ -167,7 +167,7 @@ func (h *Hub) PublishEvent(t Transition) {
 	}
 	for s := range h.subs {
 		if s.matchTransition(t) {
-			h.enqueueLocked(s, frame{event: "transition", data: b})
+			h.enqueueLocked(s, sseEvent{event: "transition", data: b})
 		}
 	}
 }
@@ -201,14 +201,14 @@ func (h *Hub) PublishMetrics(wallNS int64, changed []MetricDelta) {
 		if err != nil {
 			continue
 		}
-		h.enqueueLocked(s, frame{event: "metrics", data: b})
+		h.enqueueLocked(s, sseEvent{event: "metrics", data: b})
 	}
 }
 
 // subscribe registers a new subscriber with the given filters.
 func (h *Hub) subscribe(session, prefix string) *subscriber {
 	s := &subscriber{
-		ch:      make(chan frame, subQueueCap),
+		ch:      make(chan sseEvent, subQueueCap),
 		session: session,
 		prefix:  prefix,
 	}

@@ -43,12 +43,26 @@ func (n *Node) flightObserver() *flight.Observer {
 	return n.flightObs
 }
 
-// notePeerLost inspects a pump/serve error and, when it is a
+// ConnErr returns the first error that ended one of the node's
+// channel connections other than by the node's own Close — a
+// *PeerLostError when the peer vanished — or nil.
+func (n *Node) ConnErr() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.connErr
+}
+
+// notePeerLost keeps a pump/serve error for ConnErr and, when it is a
 // *PeerLostError (a resumable session exhausting its transport for
 // good), records the transition and trips the flight recorder. Any
 // other connection error is recorded as a transition but does not
 // freeze the ring.
 func (n *Node) notePeerLost(err error) {
+	n.mu.Lock()
+	if n.connErr == nil {
+		n.connErr = err
+	}
+	n.mu.Unlock()
 	o := n.flightObserver()
 	if !o.Enabled() {
 		return

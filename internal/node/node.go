@@ -2,8 +2,9 @@
 // subsystems and interconnect them over TCP. Each node serves as both
 // a client and a server and handles all inter-node communication so
 // that it is hidden from the user; the paper used Java RMI here, this
-// implementation speaks the length-prefixed gob protocol of package
-// wire. One TCP connection carries one channel, which preserves the
+// implementation speaks the length-prefixed frames of package wire: a
+// two-frame binary hello handshake (hello.go), then batch frames only.
+// One TCP connection carries one channel, which preserves the
 // per-channel FIFO order the time-management protocols require.
 package node
 
@@ -51,7 +52,8 @@ func (e *PeerLostError) Error() string {
 func (e *PeerLostError) Unwrap() []error { return []error{ErrPeerLost, e.Cause} }
 
 // hello opens a channel: the dialing node announces which hosted
-// subsystem it wants to bind to which remote subsystem.
+// subsystem it wants to bind to which remote subsystem. It and its
+// ack travel in the binary layout of hello.go.
 type hello struct {
 	FromNode string
 	FromSub  string
@@ -64,11 +66,6 @@ type hello struct {
 type helloAck struct {
 	OK    bool
 	Error string
-}
-
-// frame is the single frame type exchanged after the handshake.
-type frame struct {
-	Msg channel.Message
 }
 
 // Hosted bundles a subsystem with its channel hub and snapshot agent
@@ -129,6 +126,10 @@ type Node struct {
 	// connection failures (see flight.go). Error paths pay one
 	// nil-guarded accessor, nothing more.
 	flightObs *flight.Observer
+
+	// connErr is the first error that ended a channel connection
+	// other than by the node's own Close (see ConnErr).
+	connErr error
 
 	// Tracer receives connection-level diagnostics.
 	Tracer func(string)
@@ -204,9 +205,8 @@ func (n *Node) FinishAgents() {
 
 // SetCoalescing applies an egress coalescing policy to every channel
 // endpoint the node has created and every endpoint it creates later
-// (both dialed and accepted). Node transports implement batching, so
-// this is the switch that turns one-frame-per-drive into batched
-// frames.
+// (both dialed and accepted): the switch that turns one frame per
+// drive into batched frames.
 func (n *Node) SetCoalescing(cfg channel.CoalesceConfig) {
 	n.mu.Lock()
 	n.coalesce = cfg
@@ -508,19 +508,19 @@ func (n *Node) acceptSessions(rl *resilience.Listener) {
 // is non-nil when the connection is a resumable session.
 func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	var h hello
-	if err := c.Recv(&h); err != nil {
+	if err := recvHandshake(c, &h); err != nil {
 		c.Close()
 		return fmt.Errorf("handshake: %w", err)
 	}
 	hosted := n.Hosted(h.ToSub)
 	if hosted == nil {
-		_ = c.Send(helloAck{Error: fmt.Sprintf("node %s hosts no subsystem %q", n.name, h.ToSub)})
+		_ = sendHandshake(c, &helloAck{Error: fmt.Sprintf("node %s hosts no subsystem %q", n.name, h.ToSub)})
 		c.Close()
 		return fmt.Errorf("unknown subsystem %q", h.ToSub)
 	}
 	ep, err := hosted.Hub.NewEndpoint(h.FromSub, channel.Policy(h.Policy), h.Link, &connTransport{c: c})
 	if err != nil {
-		_ = c.Send(helloAck{Error: err.Error()})
+		_ = sendHandshake(c, &helloAck{Error: err.Error()})
 		c.Close()
 		return err
 	}
@@ -532,11 +532,13 @@ func (n *Node) serveConn(c *wire.Conn, sess *resilience.Session) error {
 	if hosted.OnChannel != nil {
 		hosted.OnChannel(ep)
 	}
-	if err := c.Send(helloAck{OK: true}); err != nil {
+	// Register before acknowledging, so a peer whose Connect returned
+	// can rely on this side already owning the connection.
+	n.addConn(c)
+	if err := sendHandshake(c, &helloAck{OK: true}); err != nil {
 		c.Close()
 		return err
 	}
-	n.addConn(c)
 	n.trace("node %s: accepted channel %s <- %s@%s", n.name, h.ToSub, h.FromSub, h.FromNode)
 	return n.pump(c, ep, hosted, sess)
 }
@@ -588,12 +590,12 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 		}
 		c = wire.NewConn(rwc)
 	}
-	if err := c.Send(hello{FromNode: n.name, FromSub: localSub, ToSub: remoteSub, Policy: uint8(policy), Link: link}); err != nil {
+	if err := sendHandshake(c, &hello{FromNode: n.name, FromSub: localSub, ToSub: remoteSub, Policy: uint8(policy), Link: link}); err != nil {
 		c.Close()
 		return nil, err
 	}
 	var ack helloAck
-	if err := c.Recv(&ack); err != nil {
+	if err := recvHandshake(c, &ack); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("node %s: handshake with %s: %w", n.name, addr, err)
 	}
@@ -620,10 +622,9 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 	return ep, nil
 }
 
-// pump reads frames and hands them to the endpoint until the
-// connection drops. Gob frames carry one message each (the legacy
-// path and the fallback); batch frames carry many. Both may
-// interleave freely on one connection — the sender picks per flush.
+// pump reads batch frames and hands them to the endpoint until the
+// connection drops. After the handshake a batch frame is the only
+// frame kind a channel carries; anything else is a protocol error.
 //
 // On a resumable session, connection loss never reaches this loop —
 // the session reconnects and replays underneath. Two session events
@@ -648,34 +649,23 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 			}
 			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
 		}
-		switch kind {
-		case wire.FrameGob:
-			var f frame
-			if err := wire.DecodeGob(payload, &f); err != nil {
-				return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
-			}
-			ep.OnMessage(f.Msg)
-			if f.Msg.Kind == channel.KindClose {
-				return nil
-			}
-		case wire.FrameBatch:
-			// Decode the whole frame into a reused buffer and hand it to
-			// the endpoint as one batch: one scheduler injection per
-			// frame. OnMessages copies the batch, so the buffer (and the
-			// wire receive buffer the decoder read from) is immediately
-			// reusable for the next frame.
-			msgs, closed, err := dec.DecodeBatchInto(payload, batch)
-			batch = msgs
-			if err != nil {
-				return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
-			}
-			ep.OnMessages(msgs)
-			if closed {
-				return nil
-			}
-		default:
+		if kind != wire.FrameBatch {
 			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(),
-				Cause: fmt.Errorf("node %s: unknown frame kind %d", n.name, kind)}
+				Cause: fmt.Errorf("node %s: unexpected frame kind %d after handshake", n.name, kind)}
+		}
+		// Decode the whole frame into a reused buffer and hand it to
+		// the endpoint as one batch: one scheduler injection per frame.
+		// OnMessages copies the batch, so the buffer (and the wire
+		// receive buffer the decoder read from) is immediately reusable
+		// for the next frame.
+		msgs, closed, err := dec.DecodeBatchInto(payload, batch)
+		batch = msgs
+		if err != nil {
+			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+		}
+		ep.OnMessages(msgs)
+		if closed {
+			return nil
 		}
 	}
 }
@@ -794,22 +784,19 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// connTransport adapts a wire.Conn to channel.Transport and
-// channel.BatchTransport.
+// connTransport adapts a wire.Conn to channel.Transport.
 type connTransport struct {
 	c *wire.Conn
 }
 
-func (t *connTransport) Send(m channel.Message) error { return t.c.Send(frame{Msg: m}) }
-func (t *connTransport) Close() error                 { return nil } // node owns the conn
+func (t *connTransport) Close() error { return nil } // node owns the conn
 
 // SendBatch encodes the messages into as few batch frames as the
 // frame limit allows (almost always one) and flushes them with a
 // single Write. The messages are encoded directly into the
 // connection's recycled egress buffer — no intermediate frame copy —
-// so a steady-state flush allocates nothing beyond what gob fallback
-// entries need, and the whole batch costs one syscall (and, on a
-// resilient session, one CRC envelope).
+// so a steady-state flush allocates nothing, and the whole batch
+// costs one syscall (and, on a resilient session, one CRC envelope).
 func (t *connTransport) SendBatch(msgs []channel.Message) error {
 	eg := t.c.BeginEgress()
 	defer eg.Close()

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -17,19 +18,34 @@ import (
 type tsender struct {
 	Next, Count int
 	Period      vtime.Duration
+
+	// onSend, when set, runs right after value i is sent: chaos tests
+	// break connections at fixed points of the workload instead of
+	// the wall clock. It is not checkpointed state and survives
+	// restores.
+	onSend func(i int)
 }
 
 func (s *tsender) Run(p *core.Proc) error {
 	for s.Next < s.Count {
 		p.Delay(s.Period)
 		p.Send("out", s.Next)
+		if s.onSend != nil {
+			s.onSend(s.Next)
+		}
 		s.Next++
 	}
 	return nil
 }
 
-func (s *tsender) SaveState() ([]byte, error)  { return core.GobSave(s) }
-func (s *tsender) RestoreState(b []byte) error { return core.GobRestore(s, b) }
+func (s *tsender) SaveState() ([]byte, error) { return core.GobSave(s) }
+
+func (s *tsender) RestoreState(b []byte) error {
+	hook := s.onSend
+	err := core.GobRestore(s, b)
+	s.onSend = hook
+	return err
+}
 
 // trecv records every value with its virtual arrival time — the
 // ground truth that fault-injected runs must reproduce exactly.
@@ -57,6 +73,7 @@ func (r *trecv) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 type chaosPair struct {
 	n1, n2 *Node
 	s1, s2 *core.Subsystem
+	snd    *tsender
 	rcv    *trecv
 }
 
@@ -68,9 +85,9 @@ func buildChaosPair(t *testing.T, count int, period, latency vtime.Duration, con
 	p := &chaosPair{}
 	p.s1 = core.NewSubsystem("handheld")
 	p.s2 = core.NewSubsystem("server")
-	snd := &tsender{Count: count, Period: period}
+	p.snd = &tsender{Count: count, Period: period}
 	p.rcv = &trecv{}
-	sc, _ := p.s1.NewComponent("prod", snd)
+	sc, _ := p.s1.NewComponent("prod", p.snd)
 	sc.AddPort("out")
 	rc, _ := p.s2.NewComponent("cons", p.rcv)
 	rc.AddPort("in")
@@ -180,23 +197,16 @@ func TestReconnectMidRun(t *testing.T) {
 		n1.SetResilience(cfg)
 		n2.SetResilience(cfg)
 	})
-	stop := make(chan struct{})
-	var killer sync.WaitGroup
-	killer.Add(1)
-	go func() {
-		defer killer.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(3 * time.Millisecond):
-				chaos.n1.BreakConns()
-			}
+	// The workload itself kills the connection at fixed sends, so no
+	// run can finish before every kill: the sender needs a grant per
+	// step, and each one after a kill arrives over a resumed
+	// connection.
+	chaos.snd.onSend = func(i int) {
+		if i%10 == 5 {
+			chaos.n1.BreakConns()
 		}
-	}()
+	}
 	chaos.run(t, 2000)
-	close(stop)
-	killer.Wait()
 	assertSameResults(t, clean.rcv, chaos.rcv)
 	st := chaos.n1.ResilienceStats()
 	if st.EpochDeaths == 0 || st.Resumes < 2 {
@@ -252,120 +262,95 @@ func TestDeliveryUnderInjectedFaults(t *testing.T) {
 }
 
 // TestSnapshotRewindAcrossReconnect forces the checkpoint-rewind
-// recovery: retention is tiny, a distributed snapshot completes
-// early, then the connection dies while the sender still has a large
-// granted window to emit into. The frames emitted during the outage
-// overflow retention, so the resume negotiates a rewind to the
-// snapshot — and the restored run must still produce exactly the
-// clean run's drives and virtual times.
+// recovery: retention holds one frame, a distributed snapshot
+// completes before the sender's first step, then the workload kills
+// the connection mid-run. The sender's next step emits two frames
+// into the outage (its drive, then its ask for the next grant), so
+// the first is evicted before the peer saw it and the resume must
+// negotiate a rewind to the snapshot — and the restored run must
+// still produce exactly the clean run's drives and virtual times.
 func TestSnapshotRewindAcrossReconnect(t *testing.T) {
-	// Large link latency = large lookahead window: the sender can run
-	// far ahead of the receiver's acks while the link is down.
 	clean := buildChaosPair(t, 120, 1, 200, nil)
 	clean.run(t, 3000)
 	if len(clean.rcv.Got) != 120 {
 		t.Fatalf("clean run delivered %d", len(clean.rcv.Got))
 	}
 
-	// The kill below races the workload's tail: if the run drains
-	// before the outage, too few frames land in retention and no
-	// rewind is needed (single-write framing makes this more likely —
-	// one session envelope per flush instead of two per frame). The
-	// test only proves something when the rewind path actually fired,
-	// so retry the chaos leg a few times; every attempt still asserts
-	// result correctness.
-	for attempt := 0; ; attempt++ {
-		chaos := buildChaosPair(t, 120, 1, 200, func(n1, n2 *Node) {
-			cfg := resilience.Config{
-				Heartbeat: 20 * time.Millisecond, HeartbeatMiss: 4,
-				RetryBase: 5 * time.Millisecond, RetryMax: 100,
-				RetentionFrames: 2,
-			}
-			n1.SetResilience(cfg)
-			n2.SetResilience(cfg)
-		})
-
-		// Complete a distributed snapshot before any chaos.
-		a1 := chaos.n1.Hosted("handheld").Agent
-		a2 := chaos.n2.Hosted("server").Agent
-		tag := a1.Initiate()
-		var wg sync.WaitGroup
-		var e1, e2 error
-		wg.Add(2)
-		go func() { defer wg.Done(); e1 = chaos.s1.Run(3000) }()
-		go func() { defer wg.Done(); e2 = chaos.s2.Run(3000) }()
-		deadline := time.Now().Add(10 * time.Second)
-		for !(a1.HasTag(tag) && a2.HasTag(tag)) {
-			if time.Now().After(deadline) {
-				t.Fatal("snapshot never completed")
-			}
-			time.Sleep(time.Millisecond)
+	chaos := buildChaosPair(t, 120, 1, 200, func(n1, n2 *Node) {
+		cfg := resilience.Config{
+			Heartbeat: 20 * time.Millisecond, HeartbeatMiss: 4,
+			RetryBase: 5 * time.Millisecond, RetryMax: 100,
+			RetentionFrames: 1,
 		}
-		// Kill the connection; the sender keeps emitting into its
-		// granted window, overflowing the 2-frame retention during
-		// the outage.
-		chaos.n1.BreakConns()
-		wg.Wait()
-		if e1 != nil || e2 != nil {
-			t.Fatalf("runs: %v / %v", e1, e2)
-		}
-		assertSameResults(t, clean.rcv, chaos.rcv)
-		st := chaos.n1.ResilienceStats()
-		if st.Rewinds > 0 {
+		n1.SetResilience(cfg)
+		n2.SetResilience(cfg)
+	})
+	a1 := chaos.n1.Hosted("handheld").Agent
+	a2 := chaos.n2.Hosted("server").Agent
+	// The snapshot's marks travel ahead of the sender's first ask, so
+	// both sides hold it before the first grant lets the sender step.
+	tag := a1.Initiate()
+	var broken sync.Once
+	chaos.snd.onSend = func(i int) {
+		if i != 10 {
 			return
 		}
-		if attempt == 4 {
-			t.Fatalf("retention overflow never forced a rewind in %d attempts: %+v", attempt+1, st)
-		}
+		broken.Do(func() {
+			if !a1.HasTag(tag) || !a2.HasTag(tag) {
+				t.Errorf("snapshot %s incomplete at send %d", tag, i)
+			}
+			chaos.n1.BreakConns()
+		})
+	}
+	chaos.run(t, 3000)
+	assertSameResults(t, clean.rcv, chaos.rcv)
+	if st := chaos.n1.ResilienceStats(); st.Rewinds == 0 {
+		t.Fatalf("retention overflow did not force a rewind: %+v", st)
 	}
 }
 
-// TestPeerLostTyped: a vanished peer surfaces as PeerLostError
+// TestPeerLostTyped: a vanished peer surfaces as a *PeerLostError
 // carrying the peer name, matchable via errors.Is(err, ErrPeerLost).
 func TestPeerLostTyped(t *testing.T) {
-	errc := make(chan string, 8)
+	// Trace lines only wake the check below: the pump records its
+	// error for ConnErr before it traces it.
+	traced := make(chan struct{}, 1)
 	p := buildChaosPair(t, 5, 10, 5, func(n1, n2 *Node) {
-		n1.Tracer = func(line string) {
+		n1.Tracer = func(string) {
 			select {
-			case errc <- line:
+			case traced <- struct{}{}:
 			default:
 			}
 		}
 	})
 	// Sever the transport abruptly: close the server node's raw
 	// connections without a channel Close handshake, then watch the
-	// client pump fail.
+	// client pump fail. The server registers a connection before it
+	// acknowledges the handshake, so it owns one by now.
 	p.n2.mu.Lock()
 	conns := append([]*wire.Conn(nil), p.n2.conns...)
 	p.n2.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	if len(conns) != 1 {
+		t.Fatalf("server owns %d connections after the handshake, want 1", len(conns))
 	}
+	conns[0].Close()
 	deadline := time.After(5 * time.Second)
 	for {
-		select {
-		case line := <-errc:
-			if containsAll(line, "peer", "lost", "server") {
-				return
+		err := p.n1.ConnErr()
+		var lost *PeerLostError
+		if errors.As(err, &lost) {
+			if lost.Peer != "server" || !errors.Is(err, ErrPeerLost) {
+				t.Fatalf("lost peer reported as %v", err)
 			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("connection ended with %v, want *PeerLostError", err)
+		}
+		select {
+		case <-traced:
 		case <-deadline:
 			t.Fatal("pump never reported the lost peer")
 		}
 	}
-}
-
-func containsAll(s string, subs ...string) bool {
-	for _, sub := range subs {
-		found := false
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

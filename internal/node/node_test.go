@@ -1,6 +1,9 @@
 package node
 
 import (
+	"bytes"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +11,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/vtime"
+	"repro/internal/wire"
 )
 
 // sender emits Count values on "out".
@@ -49,6 +53,14 @@ func (r *receiver) RestoreState(b []byte) error { return core.GobRestore(r, b) }
 // net "link" split across them.
 func buildRemotePair(t *testing.T, policy channel.Policy, count int) (n1, n2 *Node, s1, s2 *core.Subsystem, rcv *receiver) {
 	t.Helper()
+	return buildRemotePairVia(t, policy, count, nil)
+}
+
+// buildRemotePairVia is buildRemotePair with the dialing node
+// connecting to via(addr) instead of the listener's own address, when
+// via is set.
+func buildRemotePairVia(t *testing.T, policy channel.Policy, count int, via func(addr string) string) (n1, n2 *Node, s1, s2 *core.Subsystem, rcv *receiver) {
+	t.Helper()
 	s1 = core.NewSubsystem("handheld")
 	s2 = core.NewSubsystem("server")
 	snd := &sender{Count: count, Period: 10}
@@ -69,6 +81,9 @@ func buildRemotePair(t *testing.T, policy channel.Policy, count int) (n1, n2 *No
 	addr, err := n2.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if via != nil {
+		addr = via(addr)
 	}
 	link := channel.LinkModel{Latency: 5, PerMessage: 1}
 	ep, err := n1.Connect("handheld", addr, "server", policy, link)
@@ -149,6 +164,139 @@ func TestRemoteCoalescedDelivery(t *testing.T) {
 	if st := ep.Stats(); ws.FramesOut >= st.FlushedMsgs {
 		t.Fatalf("coalescing sent %d frames for %d messages — no batching on the wire",
 			ws.FramesOut, st.FlushedMsgs)
+	}
+}
+
+// tapRelay accepts one connection in front of addr and forwards it
+// there, keeping a copy of the bytes each direction carried. The
+// returned function waits for both directions to end and returns the
+// copies.
+func tapRelay(t *testing.T, addr string) (string, func() (up, down []byte)) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up, down bytes.Buffer
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer ln.Close()
+		in, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		out, err := net.Dial("tcp", addr)
+		if err != nil {
+			in.Close()
+			return
+		}
+		pipe := func(dst, src net.Conn, tap *bytes.Buffer) {
+			defer wg.Done()
+			io.Copy(io.MultiWriter(dst, tap), src)
+			dst.Close()
+			src.Close()
+		}
+		wg.Add(2)
+		go pipe(out, in, &up)
+		go pipe(in, out, &down)
+	}()
+	return ln.Addr().String(), func() ([]byte, []byte) {
+		wg.Wait()
+		return up.Bytes(), down.Bytes()
+	}
+}
+
+// readWriteNopCloser serves a captured stream to wire.Conn.
+type readWriteNopCloser struct{ io.Reader }
+
+func (readWriteNopCloser) Write(p []byte) (int, error) { return len(p), nil }
+func (readWriteNopCloser) Close() error                { return nil }
+
+// frameKinds parses a captured stream into its frame kinds.
+func frameKinds(t *testing.T, stream []byte) []byte {
+	t.Helper()
+	c := wire.NewConn(readWriteNopCloser{bytes.NewReader(stream)})
+	var kinds []byte
+	for {
+		kind, _, err := c.RecvFrame()
+		if err == io.EOF {
+			return kinds
+		}
+		if err != nil {
+			t.Fatalf("captured stream does not parse after %d frames: %v", len(kinds), err)
+		}
+		kinds = append(kinds, kind)
+	}
+}
+
+// TestUncoalescedRemoteSendsOnlyBatchFrames: without coalescing every
+// message still travels as a batch frame (a batch of one). Each
+// direction opens with exactly one handshake frame, and no gob frame
+// ever appears.
+func TestUncoalescedRemoteSendsOnlyBatchFrames(t *testing.T) {
+	var captured func() ([]byte, []byte)
+	n1, n2, s1, s2, rcv := buildRemotePairVia(t, channel.Conservative, 10, func(addr string) string {
+		relay, get := tapRelay(t, addr)
+		captured = get
+		return relay
+	})
+	var wg sync.WaitGroup
+	var e1, e2 error
+	wg.Add(2)
+	go func() { defer wg.Done(); e1 = s1.Run(500) }()
+	go func() { defer wg.Done(); e2 = s2.Run(500) }()
+	wg.Wait()
+	if e1 != nil || e2 != nil {
+		t.Fatalf("runs: %v / %v", e1, e2)
+	}
+	if len(rcv.Got) != 10 {
+		t.Fatalf("received %d, want 10", len(rcv.Got))
+	}
+	n1.Close()
+	n2.Close()
+	up, down := captured()
+	for dir, stream := range map[string][]byte{"dialer->listener": up, "listener->dialer": down} {
+		kinds := frameKinds(t, stream)
+		if len(kinds) < 2 || kinds[0] != wire.FrameHello {
+			t.Fatalf("%s: frames %v, want the handshake then batch frames", dir, kinds)
+		}
+		for i, k := range kinds[1:] {
+			if k != wire.FrameBatch {
+				t.Fatalf("%s: frame %d after the handshake has kind %d, want only batch frames", dir, i+1, k)
+			}
+		}
+	}
+}
+
+// TestHandshakeRoundTrip: hello and ack survive their binary layout,
+// and every truncation of a hello is refused rather than misread.
+func TestHandshakeRoundTrip(t *testing.T) {
+	h := hello{FromNode: "node1", FromSub: "handheld", ToSub: "server", Policy: uint8(channel.Optimistic),
+		Link: channel.LinkModel{Latency: 300, BytesPerSecond: 1 << 20, PerMessage: -1}}
+	var gotH hello
+	f := fieldReader{b: h.appendTo(nil)}
+	gotH.parse(&f)
+	if f.err != nil || gotH != h {
+		t.Fatalf("hello round trip: %+v err=%v, want %+v", gotH, f.err, h)
+	}
+	for _, a := range []helloAck{{OK: true}, {Error: "node x hosts no subsystem \"y\""}} {
+		var got helloAck
+		f := fieldReader{b: a.appendTo(nil)}
+		got.parse(&f)
+		if f.err != nil || got != a {
+			t.Fatalf("ack round trip: %+v err=%v, want %+v", got, f.err, a)
+		}
+	}
+	full := h.appendTo(nil)
+	for n := 0; n < len(full); n++ {
+		var got hello
+		f := fieldReader{b: full[:n]}
+		got.parse(&f)
+		if f.err == nil {
+			t.Fatalf("hello truncated to %d of %d bytes parsed as %+v", n, len(full), got)
+		}
 	}
 }
 

@@ -3,9 +3,10 @@
 // Pia lets a single communication action be rendered at several levels
 // of detail: the same logical transfer might appear as a sequence of
 // bus cycles (Level changes and Words) at the hardware level, or as a
-// single Packet at the packet level. The types here cover that range
-// and are all gob-encodable, so they can cross node boundaries
-// unchanged.
+// single Packet at the packet level. The types here cover that range.
+// The channel codec encodes every one of them natively, so they cross
+// node boundaries unchanged, and all are gob-encodable for checkpoint
+// and migration images.
 package signal
 
 import (
@@ -100,8 +101,8 @@ func String(v any) string {
 }
 
 // Register registers every signal type with gob. Call it once in any
-// process that sends events across a node boundary; the node package
-// does so automatically.
+// process that gob-encodes values in interfaces (checkpoint and
+// migration images); the node package does so automatically.
 func Register() {
 	gob.Register(Level(false))
 	gob.Register(Word(0))

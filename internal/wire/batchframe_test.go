@@ -84,7 +84,7 @@ func TestConcurrentMixedSenders(t *testing.T) {
 		switch kind {
 		case FrameGob:
 			var got payload
-			if err := DecodeGob(body, &got); err != nil {
+			if err := decodeGob(body, &got); err != nil {
 				t.Fatal(err)
 			}
 			key = fmt.Sprintf("g%04d", got.N)

@@ -39,7 +39,7 @@ func (s *countStream) Close() error               { return nil }
 // TestSendIsOneWritePerFrame pins the single-write framing property:
 // header and payload leave in one Write call (one syscall, and one
 // envelope on a resilient session), and BytesOut counts exactly what
-// the stream was handed — gob fallback path included.
+// the stream was handed — gob frames included.
 func TestSendIsOneWritePerFrame(t *testing.T) {
 	s := newCountStream()
 	c := NewConn(s)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"testing"
 )
 
@@ -23,23 +24,38 @@ func frameBytes(kind byte, payload []byte) []byte {
 	return buf
 }
 
+// gobFrame assembles a well-formed FrameGob frame carrying v, the
+// shape of one hwstub request.
+func gobFrame(v any) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		panic(err)
+	}
+	return frameBytes(FrameGob, buf.Bytes())
+}
+
 // FuzzFrameParser feeds arbitrary byte streams to the frame reader.
 // RecvFrame must never panic, never hand back a payload larger than
 // the frame limit, and must terminate (every iteration either returns
 // an error or consumes at least a header's worth of input).
 func FuzzFrameParser(f *testing.F) {
+	// A one-entry batch in the channel layout: count 1, a fixed-width
+	// entry length of 5, then a close message from "a".
+	closeBatch := []byte{0x01, 0x85, 0x80, 0x80, 0x00, 5, 1, 0, 1, 'a'}
 	f.Add([]byte{})
-	f.Add(frameBytes(FrameGob, []byte("not really gob")))
+	f.Add(gobFrame(payload{N: 1, S: "read-time"}))
+	f.Add(frameBytes(FrameBatch, closeBatch))
 	f.Add(frameBytes(FrameBatch, []byte{1, 0, 9}))
-	f.Add(frameBytes(FrameGob, nil))
 	// A header declaring more payload than follows (truncated body).
 	f.Add(frameBytes(FrameBatch, bytes.Repeat([]byte{7}, 32))[:12])
 	// A length prefix beyond MaxFrame.
 	huge := frameBytes(99, nil)
 	binary.BigEndian.PutUint32(huge[:4], MaxFrame+1)
 	f.Add(huge)
-	// Two valid frames back to back.
-	f.Add(append(frameBytes(FrameBatch, []byte{0}), frameBytes(FrameGob, []byte{1, 2})...))
+	// A channel connection's opening: a handshake frame (hello of
+	// node "n" binding "a" to "b"), then a batch frame.
+	hello := []byte{1, 'n', 1, 'a', 1, 'b', 0, 10, 0, 2}
+	f.Add(append(frameBytes(FrameHello, hello), frameBytes(FrameBatch, closeBatch)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(memStream{bytes.NewReader(data)})
@@ -54,7 +70,7 @@ func FuzzFrameParser(f *testing.F) {
 			// Gob payloads must decode or error, never panic.
 			if kind == FrameGob {
 				var v any
-				_ = DecodeGob(payload, &v)
+				_ = decodeGob(payload, &v)
 			}
 		}
 	})

@@ -1,12 +1,13 @@
 // Package wire implements the framing Pia nodes speak over TCP:
 // length-prefixed, kind-tagged frames. Each frame is a 4-byte
 // big-endian payload length, a 1-byte frame kind, and the payload.
-// Two kinds exist today: FrameGob carries a single gob-encoded value
-// (the self-describing fallback, also used for the handshake), and
-// FrameBatch carries a batch of channel messages in the hand-rolled
-// binary format of internal/channel. The length prefix keeps the
-// stream self-describing, lets both sides count bytes, and makes
-// partial reads detectable.
+// FrameBatch carries every channel message, in the binary batch
+// format of internal/channel; FrameHello carries the two frames of the
+// node handshake that open a channel connection. FrameGob carries a
+// single gob-encoded value for the hwstub request protocol, never
+// simulation data. The length prefix keeps the stream
+// self-describing, lets both sides count bytes, and makes partial
+// reads detectable.
 package wire
 
 import (
@@ -26,11 +27,14 @@ const MaxFrame = 64 << 20
 
 // Frame kinds.
 const (
-	// FrameGob is a single gob-encoded value (handshake, fallback).
+	// FrameGob is a single gob-encoded value (hwstub requests).
 	FrameGob byte = 0
 	// FrameBatch is a batch of channel messages in the binary batch
 	// format (see internal/channel).
 	FrameBatch byte = 1
+	// FrameHello is one frame of the node handshake (see
+	// internal/node).
+	FrameHello byte = 2
 )
 
 // Conn frames values over a byte stream. Send, SendRaw and
@@ -89,7 +93,7 @@ func (c *Conn) writeFrameLocked(kind byte, payload []byte) error {
 	// Write: one syscall per frame, and exactly one envelope when the
 	// stream is a resilient session (which frames every Write it
 	// sees). The counters record precisely what was handed to the
-	// stream, on every path — gob fallback included.
+	// stream, on every path.
 	buf := append(c.ebuf[:0], 0, 0, 0, 0, kind)
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
 	buf = append(buf, payload...)
@@ -145,11 +149,11 @@ func (c *Conn) Recv(v any) error {
 	if kind != FrameGob {
 		return fmt.Errorf("wire: expected gob frame, got kind %d", kind)
 	}
-	return DecodeGob(payload, v)
+	return decodeGob(payload, v)
 }
 
-// DecodeGob decodes a FrameGob payload into v.
-func DecodeGob(payload []byte, v any) error {
+// decodeGob decodes a FrameGob payload into v.
+func decodeGob(payload []byte, v any) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
@@ -157,8 +161,7 @@ func DecodeGob(payload []byte, v any) error {
 }
 
 // bufPool recycles scratch buffers for callers assembling frame
-// payloads (EncodeGob and the node batch path), so steady-state
-// sends allocate nothing.
+// payloads, so steady-state sends allocate nothing.
 var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 4<<10) }}
 
 // GetBuf returns a scratch byte slice (length 0) from the pool.

@@ -1,10 +1,16 @@
 package wubbleu
 
-import "encoding/gob"
+import (
+	"encoding/gob"
+
+	"repro/internal/channel"
+)
 
 // Message types exchanged between the WubbleU modules. They are gob
-// registered so any of the nets they travel on can be split across
-// Pia nodes.
+// registered so checkpoints and migration images can carry them.
+// NetReq is also registered with the channel codec: it is the one
+// module message that crosses a node, on the browser -> ASIC dma net
+// of RemotePlacement.
 
 // Strokes is handwriting input from the UI to the recognizer.
 type Strokes struct {
@@ -63,4 +69,11 @@ func init() {
 	gob.Register(DecodeResp{})
 	gob.Register(NetReq{})
 	gob.Register(Rendered{})
+
+	channel.RegisterValue(netReqTag,
+		func(dst []byte, v NetReq) []byte { return append(dst, v.URL...) },
+		func(b []byte) (NetReq, error) { return NetReq{URL: string(b)}, nil })
 }
+
+// netReqTag is NetReq's channel value tag.
+const netReqTag = channel.MinValueTag

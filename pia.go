@@ -283,7 +283,7 @@ func (b *SystemBuilder) SetChannel(subA, subB string, p Policy, link LinkModel) 
 
 // SetCoalescing applies an egress coalescing policy to every
 // cross-node channel the build creates. In-process channels (pipes)
-// keep the immediate path — they have no framing cost to amortize.
+// are not coalesced — they have no framing cost to amortize.
 func (b *SystemBuilder) SetCoalescing(cfg CoalesceConfig) *SystemBuilder {
 	b.coalesce = cfg
 	b.coalesceSet = true
