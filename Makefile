@@ -29,7 +29,7 @@ race-core:
 # tests drive real connections, sessions or concurrent tenants, so a
 # test that races its own setup fails here rather than once in a while.
 soak:
-	$(GO) test -race -count=20 ./internal/node/ ./internal/mesh/ ./internal/resilience/ ./internal/service/ ./internal/snapshot/
+	$(GO) test -race -count=20 ./internal/wire/ ./internal/node/ ./internal/mesh/ ./internal/resilience/ ./internal/service/ ./internal/snapshot/
 
 # The seeded chaos suite: Table-1 workloads under injected WAN faults
 # must produce results identical to the fault-free run, under the race
@@ -63,13 +63,19 @@ timeline:
 	$(GO) test -count=1 -run 'TestTimelineChaos' ./internal/experiments/
 	$(GO) test -count=1 -run 'TestDriveFanoutZeroAlloc' ./internal/event/
 
-# The wire gate: the binary codec's allocation guards (encode, decode
-# and queue scan must stay at 0 allocs/op steady-state), the codec
-# microbenchmarks, the cross-node stress tests under the race detector
-# (including the check that only batch frames follow the handshake),
-# and a fuzz smoke pass over the frame parser and batch codec.
+# The wire gate: the binary codec's and the frame reader's allocation
+# guards (encode, decode, frame read and queue scan must stay at 0
+# allocs/op steady-state), the buffered-ingress tests (read boundaries
+# never change the parse, a failed stream's partial frame is dropped,
+# buffered frames reach the endpoint merged, in order, and before a
+# lost peer is reported), the codec microbenchmarks, the cross-node
+# stress tests under the race detector (including the check that only
+# batch frames follow the handshake), and a fuzz smoke pass over the
+# frame parser and batch codec.
 wire:
 	$(GO) test -count=1 -run 'TestCodecZeroAlloc|TestDecodePacketAmortizedAlloc|TestDecodeLargeWordBoxes' ./internal/channel/
+	$(GO) test -count=1 -run 'TestRecvFrameZeroAlloc|TestRecvFrameChunkingInvariant|TestRecvFrameDiscardsPartialFrameAfterError|TestFrameBuffered' ./internal/wire/
+	$(GO) test -count=1 -run 'TestPumpMergesBufferedFrames|TestPumpDeliversDecodedFramesBeforePeerLost' ./internal/node/
 	$(GO) test -count=1 -run 'TestQueueScanZeroAlloc|TestDriveFanoutZeroAlloc' ./internal/event/
 	$(GO) test -race -count=1 -run 'TestBidirectionalStress' ./internal/channel/
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/node/
@@ -77,8 +83,9 @@ wire:
 	$(MAKE) fuzz-smoke
 
 # A few seconds of fuzzing per target: the frame parser on hostile
-# streams, the batch decoder on arbitrary payloads, and the
-# encode/decode round trip with signal and registered values mixed.
+# streams cut into reads at fuzzed boundaries, the batch decoder on
+# arbitrary payloads, and the encode/decode round trip with signal and
+# registered values mixed.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=3s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=3s ./internal/channel/

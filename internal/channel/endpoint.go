@@ -443,9 +443,11 @@ type Endpoint struct {
 
 	// Flush accounting for round-based drivers (pia.Simulation.Run):
 	// queuedN counts messages enqueued by the transport pump,
-	// handledN counts messages fully processed by the scheduler.
+	// handledN counts messages fully processed by the scheduler,
+	// injectN counts the scheduler injections that carried them.
 	queuedN  atomic.Int64
 	handledN atomic.Int64
+	injectN  atomic.Int64
 }
 
 // SentCount returns how many messages this endpoint has emitted.
@@ -462,6 +464,11 @@ func (ep *Endpoint) QueuedCount() int64 { return ep.queuedN.Load() }
 // HandledCount returns how many peer messages the scheduler has fully
 // processed.
 func (ep *Endpoint) HandledCount() int64 { return ep.handledN.Load() }
+
+// InjectionCount returns how many scheduler injections carried the
+// peer's messages: QueuedCount over InjectionCount is the mean ingress
+// batch.
+func (ep *Endpoint) InjectionCount() int64 { return ep.injectN.Load() }
 
 // Name implements core.Gate.
 func (ep *Endpoint) Name() string { return graph.ChannelComponentName(ep.local, ep.peer) }
@@ -955,6 +962,7 @@ func (ep *Endpoint) Replay(msgs []Message) {
 // marks depend on.
 func (ep *Endpoint) OnMessage(m Message) {
 	ep.queuedN.Add(1)
+	ep.injectN.Add(1)
 	ep.sub.InjectFunc(func() bool {
 		retry := ep.process(m)
 		if !retry {
@@ -964,19 +972,26 @@ func (ep *Endpoint) OnMessage(m Message) {
 	})
 }
 
+// InjectBatchCap is the capacity of the pooled buffers OnMessages
+// queues a batch in. A transport that merges frames into one batch
+// stops merging once it holds this many messages, so batches stay
+// within the pooled buffers.
+const InjectBatchCap = 64
+
 // msgBufPool recycles the batch buffers OnMessages hands from the
 // transport pump to the scheduler goroutine.
-var msgBufPool = sync.Pool{New: func() any { return make([]Message, 0, 64) }}
+var msgBufPool = sync.Pool{New: func() any { return make([]Message, 0, InjectBatchCap) }}
 
-// OnMessages is the batched ingress entry point: one decoded frame's
-// worth of messages, queued as a single injection. Processing order —
-// and therefore the channel's FIFO guarantee — is identical to
-// calling OnMessage per message; what changes is the cost: one
-// injection-queue append and one scheduler wakeup per frame instead
-// of one per message. Straggler retry semantics are preserved by
-// resuming the in-batch cursor: a message that requests a rollback is
-// retried (and the rest of the batch stays behind it) exactly as the
-// per-message path would re-queue it at the front.
+// OnMessages is the batched ingress entry point: a run of messages in
+// arrival order (one or more decoded frames), queued as a single
+// injection. Processing order — and therefore the channel's FIFO
+// guarantee — is identical to calling OnMessage per message; what
+// changes is the cost: one injection-queue append and one scheduler
+// wakeup per batch instead of one per message. Straggler retry
+// semantics are preserved by resuming the in-batch cursor: a message
+// that requests a rollback is retried (and the rest of the batch
+// stays behind it) exactly as the per-message path would re-queue it
+// at the front.
 //
 // OnMessages copies msgs before returning, so the caller may reuse
 // its slice (the pump's decode buffer) immediately.
@@ -990,6 +1005,7 @@ func (ep *Endpoint) OnMessages(msgs []Message) {
 	}
 	batch := append(msgBufPool.Get().([]Message)[:0], msgs...)
 	ep.queuedN.Add(int64(len(batch)))
+	ep.injectN.Add(1)
 	i := 0
 	ep.sub.InjectFunc(func() bool {
 		for i < len(batch) {

@@ -626,6 +626,14 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 // connection drops. After the handshake a batch frame is the only
 // frame kind a channel carries; anything else is a protocol error.
 //
+// Frames already sitting in the connection's receive buffer are
+// decoded into one merged batch and handed over as one scheduler
+// injection per buffered burst, at most channel.InjectBatchCap
+// messages: the pump never waits on the stream while it holds
+// decoded messages, so merging only saves injections, never delays
+// one. Whatever was decoded is handed over before the pump returns,
+// on a close, a protocol error or a lost peer alike.
+//
 // On a resumable session, connection loss never reaches this loop —
 // the session reconnects and replays underneath. Two session events
 // do surface: a negotiated checkpoint rewind (handled in place, the
@@ -634,6 +642,17 @@ func (n *Node) Connect(localSub, addr, remoteSub string, policy channel.Policy, 
 func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilience.Session) error {
 	dec := channel.NewBatchDecoder()
 	var batch []channel.Message
+	// deliver hands the merged batch to the endpoint. OnMessages
+	// copies it, so the buffer (and the wire receive buffer the
+	// decoder read from) is immediately reusable.
+	deliver := func() {
+		ep.OnMessages(batch)
+		batch = batch[:0]
+	}
+	lost := func(cause error) error {
+		deliver()
+		return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: cause}
+	}
 	for {
 		kind, payload, err := c.RecvFrame()
 		if err != nil {
@@ -647,23 +666,20 @@ func (n *Node) pump(c *wire.Conn, ep *channel.Endpoint, h *Hosted, sess *resilie
 				dec = channel.NewBatchDecoder()
 				continue
 			}
-			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+			return lost(err)
 		}
 		if kind != wire.FrameBatch {
-			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(),
-				Cause: fmt.Errorf("node %s: unexpected frame kind %d after handshake", n.name, kind)}
+			return lost(fmt.Errorf("node %s: unexpected frame kind %d after handshake", n.name, kind))
 		}
-		// Decode the whole frame into a reused buffer and hand it to
-		// the endpoint as one batch: one scheduler injection per frame.
-		// OnMessages copies the batch, so the buffer (and the wire
-		// receive buffer the decoder read from) is immediately reusable
-		// for the next frame.
-		msgs, closed, err := dec.DecodeBatchInto(payload, batch)
-		batch = msgs
+		// Decode into the batch's tail; only a whole frame joins it.
+		msgs, closed, err := dec.DecodeBatchInto(payload, batch[len(batch):])
 		if err != nil {
-			return &PeerLostError{Peer: ep.Peer(), LastSeq: ep.LastSeqIn(), Cause: err}
+			return lost(err)
 		}
-		ep.OnMessages(msgs)
+		batch = append(batch, msgs...)
+		if closed || len(batch) >= channel.InjectBatchCap || !c.FrameBuffered() {
+			deliver()
+		}
 		if closed {
 			return nil
 		}

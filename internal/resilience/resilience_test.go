@@ -466,6 +466,25 @@ func TestConfigEnabled(t *testing.T) {
 	}
 }
 
+// TestHandshakeTimeoutDefault checks that an unset handshake timeout
+// follows the heartbeat liveness window, falls back to 5s without
+// heartbeats, and never overrides an explicit value.
+func TestHandshakeTimeoutDefault(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want time.Duration
+	}{
+		{Config{Heartbeat: 10 * time.Millisecond, HeartbeatMiss: 3}, 30 * time.Millisecond},
+		{Config{Heartbeat: time.Second}, 4 * time.Second},
+		{Config{PeerTimeout: time.Second}, 5 * time.Second},
+		{Config{Heartbeat: time.Second, HandshakeTimeout: 7 * time.Second}, 7 * time.Second},
+	} {
+		if got := tc.cfg.withDefaults().HandshakeTimeout; got != tc.want {
+			t.Errorf("%+v: handshake timeout %v, want %v", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
 	h := hello{SessionID: 7, RecvNext: 42, Lowest: 3, Tag: "snap-9"}
 	typ, body, err := readEnvelope(bytes.NewReader(encodeHello(h)))

@@ -80,7 +80,10 @@ type Config struct {
 	RetentionFrames int
 	RetentionBytes  int
 
-	// HandshakeTimeout bounds one hello/ack exchange (default 5s).
+	// HandshakeTimeout bounds one hello/ack exchange. With heartbeats
+	// on it defaults to Heartbeat × HeartbeatMiss, the liveness window
+	// a silent connection epoch already gets, so a hello or ack lost
+	// in flight costs one window, not a fixed wait; otherwise 5s.
 	HandshakeTimeout time.Duration
 
 	// Seed drives backoff jitter.
@@ -116,6 +119,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
+		if c.Heartbeat > 0 {
+			c.HandshakeTimeout = c.Heartbeat * time.Duration(c.HeartbeatMiss)
+		}
 	}
 	return c
 }

@@ -11,6 +11,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -37,9 +38,14 @@ const (
 	FrameHello byte = 2
 )
 
+// readBufSize is the size of a Conn's receive buffer: large enough
+// that a burst of small channel frames arrives in one read syscall,
+// small enough that a connection's set-up cost stays flat.
+const readBufSize = 16 << 10
+
 // Conn frames values over a byte stream. Send, SendRaw and
-// BeginEgress are safe for concurrent use; Recv and RecvFrame must be
-// called from a single reader.
+// BeginEgress are safe for concurrent use; Recv, RecvFrame and
+// FrameBuffered must be called from a single reader.
 type Conn struct {
 	rwc io.ReadWriteCloser
 
@@ -48,7 +54,9 @@ type Conn struct {
 	ebuf   []byte // egress assembly buffer, recycled across flushes
 	egress Egress // the Conn's single egress builder, guarded by wmu
 
-	rbuf []byte // receive buffer, reused across frames
+	br   *bufio.Reader   // every read of the stream goes through it
+	hdr  [headerLen]byte // header of the frame being read
+	rbuf []byte          // frame payload, reused across frames
 
 	bytesIn   atomic.Int64
 	bytesOut  atomic.Int64
@@ -58,8 +66,7 @@ type Conn struct {
 
 // NewConn wraps a stream (usually a *net.TCPConn).
 func NewConn(rwc io.ReadWriteCloser) *Conn {
-	c := &Conn{rwc: rwc}
-	return c
+	return &Conn{rwc: rwc, br: bufio.NewReaderSize(rwc, readBufSize)}
 }
 
 // headerLen is the frame overhead: 4-byte length + 1-byte kind.
@@ -118,12 +125,25 @@ func (c *Conn) retainEbuf(buf []byte) {
 // RecvFrame reads one frame and returns its kind and payload. The
 // payload slice is owned by the Conn and only valid until the next
 // RecvFrame or Recv call; decode it before reading again.
+//
+// Reads go through the Conn's buffer, so a burst of small frames
+// costs one read syscall, not two per frame. On any error the buffer
+// is reset: bytes of a partial frame from a dead stream, or from a
+// session rewound underneath, are never parsed as the start of the
+// next frame.
 func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.rwc, hdr[:]); err != nil {
+	kind, payload, err = c.readFrame()
+	if err != nil {
+		c.br.Reset(c.rwc)
+	}
+	return kind, payload, err
+}
+
+func (c *Conn) readFrame() (kind byte, payload []byte, err error) {
+	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(c.hdr[:4])
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: incoming frame of %d bytes exceeds limit", n)
 	}
@@ -131,12 +151,24 @@ func (c *Conn) RecvFrame() (kind byte, payload []byte, err error) {
 		c.rbuf = make([]byte, n)
 	}
 	c.rbuf = c.rbuf[:n]
-	if _, err := io.ReadFull(c.rwc, c.rbuf); err != nil {
+	if _, err := io.ReadFull(c.br, c.rbuf); err != nil {
 		return 0, nil, fmt.Errorf("wire: read body: %w", err)
 	}
 	c.bytesIn.Add(int64(headerLen + n))
 	c.framesIn.Add(1)
-	return hdr[4], c.rbuf, nil
+	return c.hdr[4], c.rbuf, nil
+}
+
+// FrameBuffered reports whether a whole frame already sits in the
+// receive buffer, so the next RecvFrame returns it without touching
+// the stream.
+func (c *Conn) FrameBuffered() bool {
+	buffered := c.br.Buffered()
+	if buffered < headerLen {
+		return false
+	}
+	hdr, _ := c.br.Peek(headerLen) // cannot fail: that much is buffered
+	return uint64(buffered-headerLen) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // Recv reads one FrameGob frame into v. It fails on any other frame
